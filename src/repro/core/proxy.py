@@ -12,7 +12,11 @@ certificate-authenticated connections from the proxy.  Here the proxy
 *is* the only transport handed to clients in the protected
 configuration, which yields the same property in-process; the HTTP
 deployment (:mod:`repro.k8s.http` + :class:`HttpKubeFenceProxy`)
-reproduces the real network topology.
+reproduces the real network topology.  Both transports run one
+decision path, :meth:`EnforcementCore.mediate`: the in-process
+:class:`KubeFenceProxy` hands it ``APIServer.handle`` as the upstream,
+the HTTP proxy a pooled keep-alive call, so verdicts, 403 bodies,
+denial records and decision events cannot differ between them.
 
 Performance: validation runs on the compiled engine
 (:mod:`repro.core.compiled`) and sits behind a per-proxy
@@ -46,9 +50,13 @@ deterministically.  See ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 import http.client
+import json
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Sequence
+from urllib.parse import urlsplit
 
 from repro.core.compiled import DecisionCache, canonical_body_key
 from repro.core.enforcement import ValidationResult, Validator
@@ -58,8 +66,10 @@ from repro.core.shards import (
     new_decision_cache,
     shards_enabled,
 )
-from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse
+from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse, User
 from repro.k8s.errors import ApiError
+from repro.k8s.gvk import registry as default_registry
+from repro.k8s.http import RestHandler, new_http_server, parse_rest_path, rest_verb
 from repro.obs import (
     PROFILER,
     TimeSeriesRing,
@@ -96,11 +106,15 @@ _WRITE_VERBS = frozenset({"create", "update", "patch"})
 #: see HttpKubeFenceProxy's upstream_call.
 _IDEMPOTENT_METHODS = frozenset({"GET", "HEAD"})
 
-#: Ring-buffer size for per-request validation latency samples.
-_MAX_LATENCY_SAMPLES = 8192
+#: HTTP methods whose body the proxy parses (and, as writes, validates).
+_BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})
 
 #: Default decision-cache capacity (entries, i.e. distinct bodies).
 DEFAULT_DECISION_CACHE_SIZE = 1024
+
+#: Denial records a front retains, newest kept; older records are
+#: dropped and counted in ``kubefence_denials_dropped_total``.
+DENIAL_LOG_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -123,6 +137,7 @@ _DENIAL_REASONS: tuple[tuple[str, str], ...] = (
     ("no allowed configuration matches", "list-entry-mismatch"),
     ("required by security policy", "security-lock"),
     ("expected an object", "shape-mismatch"),
+    ("no policy bound", "unbound-identity"),
 )
 
 
@@ -145,10 +160,10 @@ class ProxyStats:
     per-proxy :class:`~repro.obs.MetricsRegistry`: every counter the
     old dataclass carried is now a named metric (``kubefence_*``)
     scrapeable from ``/metrics``, while the attribute API
-    (``stats.cache_hits`` etc.) is preserved for callers.  Latency is
-    recorded twice: into a labeled Prometheus histogram
-    (``kubefence_validation_latency_ns{outcome="hit"|"miss"}``) and
-    into bounded sample rings for exact percentile math.
+    (``stats.cache_hits`` etc.) is preserved for callers.  Gate latency
+    is recorded once, into a labeled Prometheus histogram
+    (``kubefence_validation_latency_ns{outcome="hit"|"miss"}``); the
+    percentiles below are its bucket-interpolated quantiles.
 
     Cache **hits** record their (cheap) lookup latency as their own
     sample instead of being silently dropped -- otherwise the Table IV
@@ -180,6 +195,10 @@ class ProxyStats:
             "Denials by workload operator, resource kind, and reason category.",
             labels=("operator", "kind", "reason"),
             max_series=256,
+        )
+        self._denials_dropped = reg.counter(
+            "kubefence_denials_dropped_total",
+            "Denial records evicted from the bounded denial log.",
         )
         self._cache_hits = self._bind(reg.counter(
             "kubefence_cache_hits_total", "Decision-cache hits (validation skipped)."
@@ -242,12 +261,6 @@ class ProxyStats:
         # a bound-``inc`` per phase, the null clock when telemetry is
         # off (phases.enabled gates any extra clock reads).
         self.phases = new_phase_clock(reg, sharded=self._sharded)
-        #: per-request validation latency samples (ns), bounded rings:
-        #: full validations (cache misses) and cache-hit lookups.
-        self.validation_ns_samples: list[int] = []
-        self.cache_hit_ns_samples: list[int] = []
-        self._sample_cursor = 0
-        self._hit_cursor = 0
         # Hot-path shortcut: these run unconditionally on every
         # request, so skip the wrapper frame (see comment above
         # the def-forms).
@@ -288,6 +301,9 @@ class ProxyStats:
             self._denial_bound[key] = bound
         bound.inc()
 
+    def count_denial_dropped(self) -> None:
+        self._denials_dropped.inc()
+
     def count_cache(self, hit: bool) -> None:
         (self._cache_hits if hit else self._cache_misses).inc()
 
@@ -315,14 +331,6 @@ class ProxyStats:
             self._http_bound[key] = bound
         bound.inc()
 
-    @staticmethod
-    def _ring_append(samples: list[int], cursor: int, value: int) -> int:
-        if len(samples) < _MAX_LATENCY_SAMPLES:
-            samples.append(value)
-        else:
-            samples[cursor % _MAX_LATENCY_SAMPLES] = value
-        return cursor + 1
-
     def record_validation_ns(self, elapsed_ns: int, cache_hit: bool = False) -> None:
         # Phase attribution rides the clock reads the gate already
         # takes: a cache hit's whole cost is the probe, a miss's is
@@ -331,15 +339,9 @@ class ProxyStats:
         if cache_hit:
             self.phases.cache_probe(elapsed_ns)
             self._latency_hit.observe(elapsed_ns)
-            self._hit_cursor = self._ring_append(
-                self.cache_hit_ns_samples, self._hit_cursor, elapsed_ns
-            )
         else:
             self.phases.validation(elapsed_ns)
             self._latency_miss.observe(elapsed_ns)
-            self._sample_cursor = self._ring_append(
-                self.validation_ns_samples, self._sample_cursor, elapsed_ns
-            )
 
     # -- read API (unchanged names) ----------------------------------------
 
@@ -376,6 +378,10 @@ class ProxyStats:
         return int(self._retries.value)
 
     @property
+    def denials_dropped(self) -> int:
+        return int(self._denials_dropped.value)
+
+    @property
     def degraded_total(self) -> int:
         snapshot_into = getattr(self._degraded, "snapshot_into", None)
         if snapshot_into is None:  # REPRO_NO_OBS null instrument
@@ -398,28 +404,18 @@ class ProxyStats:
         observed = hit.count + miss.count
         return (hit.sum + miss.sum) / observed if observed else 0.0
 
-    @staticmethod
-    def _percentile(samples: list[int], q: float) -> float:
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        index = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-        return float(ordered[index])
-
-    def _percentile_ns(self, q: float) -> float:
-        return self._percentile(self.validation_ns_samples, q)
-
     @property
     def validation_ns_p50(self) -> float:
-        return self._percentile_ns(0.50)
+        """Median full-validation (cache-miss) latency."""
+        return self._latency_miss.quantile(0.50)
 
     @property
     def validation_ns_p99(self) -> float:
-        return self._percentile_ns(0.99)
+        return self._latency_miss.quantile(0.99)
 
     @property
     def cache_hit_ns_p50(self) -> float:
-        return self._percentile(self.cache_hit_ns_samples, 0.50)
+        return self._latency_hit.quantile(0.50)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -435,23 +431,13 @@ class ProxyStats:
         return self.registry.snapshot()
 
     def reset(self) -> None:
-        """Zero every counter/histogram and drop the sample rings."""
+        """Zero every counter and histogram."""
         self.registry.reset()
-        self.validation_ns_samples.clear()
-        self.cache_hit_ns_samples.clear()
-        self._sample_cursor = 0
-        self._hit_cursor = 0
 
     def merge(self, other: "ProxyStats") -> None:
         """Fold *other*'s counters into this instance (aggregation
         across repetitions/proxies for the overhead tables)."""
         self.registry.merge_from(other.registry)
-        room = _MAX_LATENCY_SAMPLES - len(self.validation_ns_samples)
-        if room > 0:
-            self.validation_ns_samples.extend(other.validation_ns_samples[:room])
-        room = _MAX_LATENCY_SAMPLES - len(self.cache_hit_ns_samples)
-        if room > 0:
-            self.cache_hit_ns_samples.extend(other.cache_hit_ns_samples[:room])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -481,6 +467,19 @@ def upstream_failure_kind(failure: Any) -> str:
     if isinstance(failure, OSError):
         return "os-error"
     return "other"
+
+
+def _failed_upstream(response: ApiResponse) -> bool:
+    """A retryable upstream *result* (5xx implying non-processing)."""
+    return response.code in RETRYABLE_STATUS_CODES
+
+
+def _object_name(request: ApiRequest) -> str:
+    """The name a verdict is filed under: the write body's, else the
+    addressed object's."""
+    body = request.body
+    name = body.get("metadata", {}).get("name", "") if isinstance(body, dict) else ""
+    return name or request.name or ""
 
 
 class ValidationGate:
@@ -577,8 +576,124 @@ class ValidationGate:
         return result
 
 
-class KubeFenceProxy:
-    """In-process enforcement proxy implementing the client Transport.
+class _Front:
+    """What every enforcement front shares: its counters, the
+    security-event stream, the bounded denial log, and the one place a
+    verdict leaves the proxy (the 403 ``Status`` contract and the
+    decision event)."""
+
+    def __init__(self, event_bus: Any | None):
+        self.stats = ProxyStats()
+        #: security-analytics stream; NULL under REPRO_NO_OBS=1 (the
+        #: ``enabled`` probe keeps event construction off the fast path).
+        self.events = event_bus if event_bus is not None else new_event_bus()
+        #: when True, published allow decisions carry their manifest
+        #: field sample in detail["fields"]/["values"] (profiler food;
+        #: off by default so the extraction cost stays off the hot path).
+        self.observe_fields = False
+        self._denial_log: deque[DenialRecord] = deque(maxlen=DENIAL_LOG_SIZE)
+        #: HTTP workers deny concurrently; the full-check and the append
+        #: must be one step for the dropped count to be exact.
+        self._denial_lock = threading.Lock()
+
+    @property
+    def denials(self) -> deque[DenialRecord]:
+        """The newest :data:`DENIAL_LOG_SIZE` denials, oldest first."""
+        return self._denial_log
+
+    def deny(
+        self,
+        request: ApiRequest,
+        violations: Sequence[Any],
+        summary: str,
+        operator: str,
+        started: int = 0,
+    ) -> ApiResponse:
+        """Refuse *request*: count the denial, log a
+        :class:`DenialRecord`, answer 403 with the offending fields in
+        ``details.violations``, and publish the verdict."""
+        texts = [str(v) for v in violations]
+        reason = denial_reason(violations)
+        name = _object_name(request)
+        stats = self.stats
+        stats.count_denial(operator=operator, kind=request.kind, reason=reason)
+        record = DenialRecord(
+            username=request.user.username,
+            verb=request.verb,
+            kind=request.kind,
+            name=name,
+            violations=tuple(texts),
+        )
+        log = self._denial_log
+        with self._denial_lock:
+            if len(log) == log.maxlen:
+                stats.count_denial_dropped()
+            log.append(record)
+        workload = f" for workload {operator!r}" if operator else ""
+        response = ApiResponse.from_error(ApiError.forbidden(
+            f"KubeFence policy denied {request.verb} of "
+            f"{request.kind}/{name}{workload}: {summary}",
+            violations=texts,
+        ))
+        if self.events.enabled:
+            self._publish_decision(
+                request, "deny", 403, started,
+                {"reason": reason, "violations": list(texts)},
+            )
+        return response
+
+    def _publish_decision(
+        self,
+        request: ApiRequest,
+        outcome: str,
+        code: int,
+        started: int = 0,
+        detail: dict[str, Any] | None = None,
+    ) -> None:
+        """One enforcement verdict onto the security-event stream.
+        Routine allows are head-sampled (REPRO_EVENT_SAMPLE); anything
+        security-relevant always publishes."""
+        bus = self.events
+        if outcome == "allow" and not bus.sampled():
+            return
+        phases = self.stats.phases
+        stamp = time.perf_counter_ns() if phases.enabled else 0
+        body = request.body
+        if (
+            self.observe_fields
+            and outcome == "allow"
+            and request.verb in _WRITE_VERBS
+            and isinstance(body, dict)
+        ):
+            fields, values = manifest_field_sample(body)
+            detail = {**(detail or {}), "fields": fields, "values": values}
+        bus.publish(SecurityEvent(
+            kind="decision",
+            source="proxy",
+            ts=time.time(),
+            user=request.user.username,
+            verb=request.verb,
+            resource=request.kind,
+            name=_object_name(request),
+            namespace=request.namespace or "",
+            outcome=outcome,
+            code=code,
+            trace_id=current_trace_id() or "",
+            latency_ns=time.perf_counter_ns() - started if started else 0,
+            detail=detail or {},
+        ))
+        if stamp:
+            phases.telemetry(time.perf_counter_ns() - stamp)
+
+
+class EnforcementCore(_Front):
+    """The one decision path both proxy transports adapt.
+
+    :meth:`mediate` takes a transport-neutral :class:`ApiRequest` and
+    the transport's upstream call, and runs complete mediation (Sec.
+    V-B): validate the write body through the :class:`ValidationGate`,
+    deny with the offending fields or forward, degrade when the
+    upstream is unavailable, publish the verdict.
 
     With a :class:`~repro.resilience.ResilienceConfig` the upstream
     hop runs under retry + circuit breaking + a per-request deadline;
@@ -588,35 +703,23 @@ class KubeFenceProxy:
     ``degraded_mode="fail-static"`` successful ``get`` responses are
     additionally kept in an identity-keyed :class:`StaleReadCache`, so
     reads survive an outage for the same user that originally fetched
-    them (writes still refuse; see docs/RESILIENCE.md).  The default
-    (``resilience=None``) leaves the upstream call untouched -- zero
-    added work on the fault-free benchmark path.
+    them (writes still refuse; see docs/RESILIENCE.md).
     """
 
     def __init__(
         self,
-        api: APIServer,
         validator: Validator,
-        cache_size: int = DEFAULT_DECISION_CACHE_SIZE,
-        engine: str = "auto",
-        resilience: ResilienceConfig | None = None,
-        event_bus: Any | None = None,
+        cache_size: int,
+        engine: str,
+        resilience: ResilienceConfig | None,
+        event_bus: Any | None,
     ):
-        self.api = api
-        self.denials: list[DenialRecord] = []
-        self.stats = ProxyStats()
+        super().__init__(event_bus)
         self.gate = ValidationGate(validator, self.stats, cache_size, engine)
         self.resilience = resilience
-        #: security-analytics stream; NULL under REPRO_NO_OBS=1 (the
-        #: ``enabled`` probe keeps event construction off the fast path).
-        self.events = event_bus if event_bus is not None else new_event_bus()
         #: shadow-mode canary evaluator (a RefineController installs
         #: one via start_shadow); never affects served decisions.
         self.shadow: Any | None = None
-        #: when True, published allow decisions carry their manifest
-        #: field sample in detail["fields"]/["values"] (profiler food;
-        #: off by default so the extraction cost stays off the hot path).
-        self.observe_fields = False
         #: the /obs/refine controller, when a refinement loop is wired.
         self.refine: Any | None = None
         #: the /obs/scan CVE scanner, when one is wired.
@@ -632,8 +735,9 @@ class KubeFenceProxy:
             self._guard = UpstreamGuard(
                 resilience.retry,
                 self.breaker,
-                # TimeoutError/ConnectionError are OSError subclasses.
-                retry_on=(OSError,),
+                # Timeouts and resets are OSErrors; a truncated upstream
+                # reply (IncompleteRead) is an HTTPException.
+                retry_on=(http.client.HTTPException, OSError),
                 on_retry=lambda _attempt, _delay: stats.count_retry(),
                 on_failure=lambda failure: stats.count_upstream_error(
                     upstream_failure_kind(failure)
@@ -651,121 +755,62 @@ class KubeFenceProxy:
         the decision cache."""
         self.gate.install(validator)
 
-    def submit(self, request: ApiRequest) -> ApiResponse:
-        """Intercept, validate, and forward or deny -- all under one
-        request trace (the API server joins it, so the audit event
-        carries the same trace id)."""
-        with trace("proxy.request"):
-            self.stats.count_request()
-            bus = self.events
-            started = time.perf_counter_ns() if bus.enabled else 0
-            if request.verb in _WRITE_VERBS and isinstance(request.body, dict):
-                with span("proxy.validate"):
-                    result = self.gate.check(request.body)
-                shadow = self.shadow
-                if shadow is not None:
-                    shadow.observe(
-                        request.body, result.allowed,
-                        user=request.user.username, verb=request.verb,
-                    )
-                if not result.allowed:
-                    response = self._deny(request, result)
-                    if bus.enabled:
-                        self._publish_decision(
-                            request, "deny", response.code,
-                            latency_ns=time.perf_counter_ns() - started,
-                            detail={
-                                "reason": denial_reason(result.violations),
-                                "violations": [str(v) for v in result.violations],
-                            },
-                        )
-                    return response
-            note: dict[str, str] | None = {} if bus.enabled else None
-            response = self._forward(request, note)
-            if bus.enabled:
-                assert note is not None
-                outcome = note.get("outcome") or (
-                    "allow" if response.ok else "error"
-                )
-                # Routine allows are head-sampled (REPRO_EVENT_SAMPLE);
-                # anything security-relevant always publishes.
-                if outcome != "allow" or bus.sampled():
-                    detail = {"mode": note["mode"]} if "mode" in note else {}
-                    self._publish_decision(
-                        request, outcome, response.code,
-                        latency_ns=time.perf_counter_ns() - started,
-                        detail=detail,
-                    )
-            return response
-
-    def _publish_decision(
+    def mediate(
         self,
         request: ApiRequest,
-        outcome: str,
-        code: int,
-        latency_ns: int = 0,
-        detail: dict[str, Any] | None = None,
-    ) -> None:
-        """One enforcement verdict onto the security-event stream."""
-        name = request.name or ""
-        if not name and isinstance(request.body, dict):
-            name = request.body.get("metadata", {}).get("name", "")
-        if (
-            self.observe_fields
-            and outcome == "allow"
-            and request.verb in _WRITE_VERBS
-            and isinstance(request.body, dict)
-        ):
-            fields, values = manifest_field_sample(request.body)
-            detail = dict(detail or {})
-            detail["fields"] = fields
-            detail["values"] = values
-        self.events.publish(SecurityEvent(
-            kind="decision",
-            source="proxy",
-            ts=time.time(),
-            user=request.user.username,
-            verb=request.verb,
-            resource=request.kind,
-            name=name,
-            namespace=request.namespace or "",
-            outcome=outcome,
-            code=code,
-            trace_id=current_trace_id() or "",
-            latency_ns=latency_ns,
-            detail=detail or {},
-        ))
+        forward: Callable[[ApiRequest], ApiResponse],
+    ) -> ApiResponse:
+        """Decide *request*; *forward* is the transport's upstream call
+        (it may raise the :mod:`repro.resilience` unavailability
+        errors, which degrade the answer instead of propagating)."""
+        self.stats.count_request()
+        bus = self.events
+        started = time.perf_counter_ns() if bus.enabled else 0
+        body = request.body
+        if body is not None and request.verb in _WRITE_VERBS:
+            if not isinstance(body, dict):
+                return ApiResponse.from_error(
+                    ApiError.bad_request("request body must be a JSON object")
+                )
+            with span("proxy.validate"):
+                result = self.gate.check(body)
+            shadow = self.shadow
+            if shadow is not None:
+                shadow.observe(
+                    body, result.allowed,
+                    user=request.user.username, verb=request.verb,
+                )
+            if not result.allowed:
+                return self.deny(
+                    request, result.violations, result.summary(),
+                    self.validator.operator, started,
+                )
+        response = self._forward(request, forward)
+        if bus.enabled:
+            mode = response.degraded.partition(";")[0]
+            outcome = "degraded" if mode else "allow" if response.ok else "error"
+            self._publish_decision(
+                request, outcome, response.code, started,
+                {"mode": mode} if mode else None,
+            )
+        return response
 
     def _forward(
-        self, request: ApiRequest, note: dict[str, str] | None = None
+        self,
+        request: ApiRequest,
+        forward: Callable[[ApiRequest], ApiResponse],
     ) -> ApiResponse:
-        """The upstream hop, guarded when resilience is configured.
-
-        A retryable upstream 5xx that survives the whole schedule is
-        passed through (the upstream's own answer is information);
-        breaker refusals and exhausted transports become a local 503
-        -- never a silent allow.
-        """
-        if self._guard is None:
-            return self.api.handle(request)
-        assert self.resilience is not None
+        """The upstream hop.  A retryable upstream 5xx that survives the
+        whole retry schedule is passed through (the upstream's own
+        answer is information); breaker refusals and exhausted
+        transports degrade -- never a silent allow."""
         try:
-            # In-process transport retries are replay-safe for every
-            # verb: the chaos wrapper (FaultyAPIServer) raises its
-            # injected resets/timeouts *instead of* handling, never
-            # after a write was applied.  The HTTP proxy cannot assume
-            # that about a real wire and restricts transport retries
-            # to idempotent methods.
-            response = self._guard.call(
-                lambda: self.api.handle(request),
-                deadline=self.resilience.deadline(),
-                is_failure=lambda resp: resp.code in RETRYABLE_STATUS_CODES,
-            )
+            response = forward(request)
         except CircuitOpenError as err:
             self.stats.count_upstream_error("breaker-open")
-            return self._degrade(request, err, note)
+            return self._degrade(request, err)
         except (UpstreamUnavailable, DeadlineExceeded) as err:
-            return self._degrade(request, err, note)
+            return self._degrade(request, err)
         if (self._read_cache is not None and request.verb == "get"
                 and response.code == 200 and response.body is not None):
             self._read_cache.put(
@@ -773,7 +818,8 @@ class KubeFenceProxy:
             )
         return response
 
-    def _stale_key(self, request: ApiRequest) -> str:
+    @staticmethod
+    def _stale_key(request: ApiRequest) -> str:
         """Stale-cache key scoped to the authenticated identity: the
         upstream authorizes reads per user, so a cached 200 is only
         valid for the identity it was originally served to."""
@@ -783,77 +829,225 @@ class KubeFenceProxy:
             f"{request.kind}/{request.namespace or ''}/{request.name or ''}",
         )
 
-    def _degrade(
-        self,
-        request: ApiRequest,
-        err: Exception,
-        note: dict[str, str] | None = None,
-    ) -> ApiResponse:
+    def _degrade(self, request: ApiRequest, err: Exception) -> ApiResponse:
         """The upstream is unavailable.  ``fail-static`` may serve a
         same-identity stale read; everything else is refused with 503
         -- a would-be denial is never converted into an allow (denials
-        already happened before forwarding).  *note*, when present, is
-        annotated with the degraded outcome so the caller publishes an
-        honest decision event."""
+        already happened before forwarding)."""
+        cached = None
         if self._read_cache is not None and request.verb == "get":
             assert self.resilience is not None
             cached = self._read_cache.get(
                 self._stale_key(request), self.resilience.read_cache_ttl
             )
-            if cached is not None:
-                _age, payload = cached
-                self.stats.count_degraded("stale-read")
-                if note is not None:
-                    note["outcome"] = "degraded"
-                    note["mode"] = "stale-read"
-                return ApiResponse(code=200, body=deep_copy(payload))
-        return self._refuse(err, note)
+        if cached is not None:
+            age, payload = cached
+            response = ApiResponse(200, deep_copy(payload))
+            response.degraded = f"stale-read; age={age:.1f}s"
+        else:
+            response = ApiResponse.from_error(ApiError(
+                503, "ServiceUnavailable",
+                f"KubeFence: upstream API server unavailable; failing closed ({err})",
+            ))
+            response.degraded = "refused"
+        self.stats.count_degraded(response.degraded.partition(";")[0])
+        return response
 
-    def _refuse(
-        self, err: Exception, note: dict[str, str] | None = None
-    ) -> ApiResponse:
-        """Fail closed: the upstream is unavailable, so the request is
-        refused locally with 503 (see docs/RESILIENCE.md)."""
-        self.stats.count_degraded("refused")
-        if note is not None:
-            note["outcome"] = "degraded"
-            note["mode"] = "refused"
-        return ApiResponse.from_error(ApiError(
-            503, "ServiceUnavailable",
-            f"KubeFence: upstream API server unavailable; failing closed ({err})",
-        ))
 
-    def _deny(self, request: ApiRequest, result: ValidationResult) -> ApiResponse:
-        name = ""
-        if request.body:
-            name = request.body.get("metadata", {}).get("name", "")
-        self.stats.count_denial(
-            operator=self.validator.operator,
-            kind=request.kind,
-            reason=denial_reason(result.violations),
+class KubeFenceProxy(EnforcementCore):
+    """In-process enforcement proxy implementing the client Transport:
+    :meth:`submit` mediates with ``APIServer.handle`` as the upstream.
+
+    The default (``resilience=None``) leaves the upstream call
+    unguarded -- zero added work on the fault-free benchmark path.
+    """
+
+    def __init__(
+        self,
+        api: APIServer,
+        validator: Validator,
+        cache_size: int = DEFAULT_DECISION_CACHE_SIZE,
+        engine: str = "auto",
+        resilience: ResilienceConfig | None = None,
+        event_bus: Any | None = None,
+    ):
+        super().__init__(validator, cache_size, engine, resilience, event_bus)
+        self.api = api
+
+    def submit(self, request: ApiRequest) -> ApiResponse:
+        """Intercept, validate, and forward or deny -- all under one
+        request trace (the API server joins it, so the audit event
+        carries the same trace id)."""
+        with trace("proxy.request"):
+            return self.mediate(request, self._handle_upstream)
+
+    def _handle_upstream(self, request: ApiRequest) -> ApiResponse:
+        guard = self._guard
+        if guard is None:
+            return self.api.handle(request)
+        assert self.resilience is not None
+        # In-process transport retries are replay-safe for every verb:
+        # the chaos wrapper (FaultyAPIServer) raises its injected
+        # resets/timeouts *instead of* handling, never after a write
+        # was applied.  The HTTP proxy cannot assume that about a real
+        # wire and restricts transport retries to idempotent methods.
+        return guard.call(
+            lambda: self.api.handle(request),
+            deadline=self.resilience.deadline(),
+            is_failure=_failed_upstream,
         )
-        record = DenialRecord(
-            username=request.user.username,
-            verb=request.verb,
-            kind=request.kind,
-            name=name or (request.name or ""),
-            violations=tuple(str(v) for v in result.violations),
-        )
-        self.denials.append(record)
-        error = ApiError.forbidden(
-            f"KubeFence policy for workload {self.validator.operator!r} denied "
-            f"{request.verb} of {request.kind}/{record.name}: {result.summary()}",
-            violations=[str(v) for v in result.violations],
-        )
-        return ApiResponse.from_error(error)
 
 
-class HttpKubeFenceProxy:
+class _ProxyHandler(RestHandler):
+    """The HTTP adapter of :class:`HttpKubeFenceProxy`: parse the body,
+    serve the observability surfaces, build the :class:`ApiRequest`
+    the upstream API server will see, hand it to
+    :meth:`EnforcementCore.mediate` with the pooled upstream call, and
+    write the verdict back."""
+
+    proxy: "HttpKubeFenceProxy"  # bound per proxy instance
+
+    def log_request(self, code: Any = "-", size: Any = "-") -> None:
+        # Access "log": a labeled counter instead of stderr.
+        self.proxy.stats.count_http_request(getattr(self, "command", "?"), code)
+
+    def _reply(self, code: int, payload: dict | list,
+               extra_headers: tuple[tuple[str, str], ...] = ()) -> None:
+        phases = self.proxy.stats.phases
+        started = time.perf_counter_ns() if phases.enabled else 0
+        body = json.dumps(payload).encode()
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in extra_headers:
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+        if started:
+            phases.serialization(time.perf_counter_ns() - started)
+
+    def _obs(self) -> tuple[int, str, bytes] | None:
+        proxy = self.proxy
+        return obs_endpoint(
+            self.path,
+            proxy.stats.registry,
+            component="kubefence-proxy",
+            ready_checks={"policy-bound": lambda: proxy.validator is not None},
+            event_bus=proxy.events if proxy.events.enabled else None,
+            slo=proxy.slo,
+            refine=proxy.refine,
+            scanner=proxy.scanner,
+            profiler=PROFILER,
+            timeseries=proxy.timeseries,
+            accept=self.headers.get("Accept", ""),
+        )
+
+    def _handle(self, method: str) -> None:
+        incoming = self.headers.get("X-Trace-Id") or None
+        phases = self.proxy.stats.phases
+        if not phases.enabled:
+            with trace("proxy.request", trace_id=incoming):
+                self._handle_traced(method)
+            return
+        # Wall-clock denominator for the phase breakdown: the phase
+        # shares below divide into this total.  Stamped inside the
+        # trace bracket so tracer bookkeeping (span record under the
+        # buffer lock, which a concurrent /obs/traces reader can hold)
+        # stays out of the denominator instead of reading as
+        # unattributed time.
+        with trace("proxy.request", trace_id=incoming):
+            wall_started = time.perf_counter_ns()
+            self._handle_traced(method)
+            phases.wall(time.perf_counter_ns() - wall_started)
+
+    def _handle_traced(self, method: str) -> None:
+        proxy = self.proxy
+        phases = proxy.stats.phases
+        started = time.perf_counter_ns() if phases.enabled else 0
+        length = int(self.headers.get("Content-Length") or 0)
+        self._raw = raw = self.rfile.read(length) if length else None
+        body = None
+        if raw and method in _BODY_METHODS:
+            try:
+                body = json.loads(raw)
+            except (ValueError, RecursionError):
+                self._reply(400, ApiError.bad_request(
+                    "request body is not valid JSON"
+                ).to_status())
+                return
+        if started:
+            parsed = time.perf_counter_ns()
+            phases.serialization(parsed - started)
+        request = self._api_request(method, body)
+        if started:
+            # The proxy's authn share: routing the REST path and
+            # extracting the caller identity the upstream trusts.
+            phases.authn(time.perf_counter_ns() - parsed)
+        response = proxy.mediate(request, self._upstream)
+        self._reply(
+            response.code,
+            response.body if response.body is not None else {},
+            (("X-KubeFence-Degraded", response.degraded),)
+            if response.degraded else (),
+        )
+
+    def _api_request(self, method: str, body: Any) -> ApiRequest:
+        """The request as the upstream API server will see it: verb
+        from the method, kind/namespace/name from the REST path, and
+        the caller identity verbatim from the headers it trusts."""
+        try:
+            kind, namespace, name = parse_rest_path(self.path, default_registry)
+        except (ValueError, KeyError):
+            kind, namespace, name = "", None, None  # the upstream answers 404
+        groups = self.headers.get("X-Remote-Groups", "")
+        return ApiRequest(
+            verb=rest_verb(method, name),
+            kind=kind,
+            user=User(
+                self.headers.get("X-Remote-User", ""),
+                tuple(g for g in groups.split(",") if g),
+            ),
+            namespace=namespace or "default",
+            name=name,
+            body=body,
+            source_ip=self.client_address[0],
+        )
+
+    def _upstream(self, request: ApiRequest) -> ApiResponse:
+        """The pooled upstream round trip for this call."""
+        proxy = self.proxy
+        phases = proxy.stats.phases
+        started = time.perf_counter_ns() if phases.enabled else 0
+        headers = {
+            "Content-Type": "application/json",
+            "X-Remote-User": self.headers.get("X-Remote-User", ""),
+            "X-Remote-Groups": self.headers.get("X-Remote-Groups", ""),
+            "X-Trace-Id": current_trace_id() or "",
+        }
+        if started:
+            sent = time.perf_counter_ns()
+            phases.authn(sent - started)
+        status, data = proxy._upstream_call(self.command, self.path, self._raw, headers)
+        if started:
+            phases.upstream(time.perf_counter_ns() - sent)
+        try:
+            payload = json.loads(data or b"{}")
+        except ValueError:
+            proxy.stats.count_upstream_error("bad-payload")
+            return ApiResponse.from_error(ApiError(
+                502, "BadGateway", "upstream returned an unparseable body"
+            ))
+        return ApiResponse(status, payload)
+
+
+class HttpKubeFenceProxy(EnforcementCore):
     """The proxy as a real HTTP reverse proxy (stdlib only).
 
     Mirrors the paper's mitmproxy deployment: clients speak HTTP to the
-    proxy, which validates write bodies and forwards allowed requests
-    to the upstream API server over HTTP.
+    proxy, which runs the shared decision path and forwards allowed
+    requests to the upstream API server over HTTP.  The upstream hop
+    always runs under a guard (``DEFAULT_RESILIENCE`` unless
+    ``resilience=`` is given).
 
     Forwarding uses a pooled keep-alive ``http.client.HTTPConnection``
     per worker thread (the proxy and the mini API server both speak
@@ -874,21 +1068,12 @@ class HttpKubeFenceProxy:
                  resilience: ResilienceConfig | None = None,
                  event_bus: Any | None = None,
                  slo: Any | None = None):
-        import json
-        import threading
-        from http.server import BaseHTTPRequestHandler
-        from urllib.parse import urlsplit
-
-        from repro.k8s.http import new_http_server
-
-        proxy = self
+        super().__init__(
+            validator, cache_size, engine,
+            resilience if resilience is not None else DEFAULT_RESILIENCE,
+            event_bus,
+        )
         self.upstream = upstream_base_url.rstrip("/")
-        self.denials: list[DenialRecord] = []
-        self.stats = ProxyStats()
-        self.gate = ValidationGate(validator, self.stats, cache_size, engine)
-        #: security-analytics stream (served at /obs/events); NULL
-        #: under REPRO_NO_OBS=1.
-        self.events = event_bus if event_bus is not None else new_event_bus()
         #: SLO engine (served at /obs/slo): by default one per proxy,
         #: subscribed to the bus, exporting kubefence_slo_* gauges on
         #: the proxy registry.  Pass ``slo=`` to share an engine.
@@ -898,447 +1083,77 @@ class HttpKubeFenceProxy:
 
             self.slo = SloEngine(registry=self.stats.registry)
             self.events.subscribe(self.slo.observe)
-        #: shadow-mode canary evaluator (RefineController.start_shadow).
-        self.shadow: Any | None = None
-        #: when True, allow decisions carry their manifest field sample.
-        self.observe_fields = False
-        #: the /obs/refine controller, when a refinement loop is wired.
-        self.refine: Any | None = None
-        #: the /obs/scan CVE scanner, when one is wired.
-        self.scanner: Any | None = None
         #: in-process metrics ring (served at /obs/timeseries, the
         #: ``repro top`` data source); ticking starts with the server.
         self.timeseries = TimeSeriesRing(self.stats.registry)
-        self.resilience = res = (
-            resilience if resilience is not None else DEFAULT_RESILIENCE
-        )
-        stats = self.stats
-        self.breaker = res.make_breaker(
-            on_transition=lambda _old, new: stats.record_breaker_transition(new)
-        )
-        self._guard = UpstreamGuard(
-            res.retry,
-            self.breaker,
-            # IncompleteRead (truncated upstream reply) is an
-            # HTTPException; timeouts and resets are OSErrors.
-            retry_on=(http.client.HTTPException, OSError),
-            on_retry=lambda _attempt, _delay: stats.count_retry(),
-            on_failure=lambda failure: stats.count_upstream_error(
-                upstream_failure_kind(failure)
-            ),
-        )
-        self._read_cache: StaleReadCache | None = (
-            StaleReadCache(res.read_cache_size)
-            if res.degraded_mode == "fail-static" else None
-        )
-
         split = urlsplit(self.upstream)
-        upstream_host = split.hostname or "127.0.0.1"
-        upstream_port = split.port or 80
-        pool = threading.local()
+        self._upstream_host = split.hostname or "127.0.0.1"
+        self._upstream_port = split.port or 80
+        self._pool = threading.local()
+        handler = type("BoundProxyHandler", (_ProxyHandler,), {"proxy": self})
+        self._httpd = new_http_server((host, port), handler)
+        self._thread: threading.Thread | None = None
 
-        def upstream_connection(timeout: float) -> "http.client.HTTPConnection":
-            conn = getattr(pool, "conn", None)
-            if conn is None:
-                conn = http.client.HTTPConnection(
-                    upstream_host, upstream_port, timeout=timeout
-                )
-                pool.conn = conn
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
-            proxy.stats.count_connection(reused=conn.sock is not None)
-            return conn
-
-        def drop_connection() -> None:
-            conn = getattr(pool, "conn", None)
-            if conn is not None:
-                conn.close()
-                pool.conn = None
-
-        def upstream_call(
-            method: str, path: str, body: bytes | None, headers: dict[str, str]
-        ) -> tuple[int, bytes]:
-            """One guarded upstream round trip: breaker admission,
-            retry with decorrelated backoff, per-attempt socket
-            timeouts clamped to the per-request deadline.
-
-            Transport-level retries (reset, timeout, truncated read)
-            are restricted to idempotent methods: an IncompleteRead
-            after a POST may mean the upstream already applied the
-            create, and replaying it would apply the write twice.
-            Non-idempotent methods still retry on retryable 5xx
-            *results* -- those imply the request was not processed.
-            """
-            deadline = res.deadline()
-
-            def attempt() -> tuple[int, bytes]:
-                timeout = res.request_timeout
-                if deadline is not None:
-                    timeout = max(0.05, deadline.clamp(timeout))
-                conn = upstream_connection(timeout)
-                try:
-                    with span("proxy.forward"):
-                        conn.request(method, path, body=body, headers=headers)
-                        resp = conn.getresponse()
-                        data = resp.read()
-                except BaseException:
-                    # Stale pooled socket, reset, timeout, truncated
-                    # read: the connection state is unknown -- drop it.
-                    drop_connection()
-                    raise
-                return resp.status, data
-
-            return proxy._guard.call(
-                attempt,
-                deadline=deadline,
-                is_failure=lambda r: r[0] in RETRYABLE_STATUS_CODES,
-                retry_transport_errors=method in _IDEMPOTENT_METHODS,
+    def _upstream_connection(self, timeout: float) -> http.client.HTTPConnection:
+        conn = getattr(self._pool, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._upstream_host, self._upstream_port, timeout=timeout
             )
+            self._pool.conn = conn
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        self.stats.count_connection(reused=conn.sock is not None)
+        return conn
 
-        self._upstream_call = upstream_call
+    def _drop_connection(self) -> None:
+        conn = getattr(self._pool, "conn", None)
+        if conn is not None:
+            conn.close()
+            self._pool.conn = None
 
-        class Handler(BaseHTTPRequestHandler):
-            #: HTTP/1.1 enables keep-alive on the client-facing side
-            #: too (all replies carry Content-Length).
-            protocol_version = "HTTP/1.1"
+    def _upstream_call(
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
+    ) -> tuple[int, bytes]:
+        """One guarded upstream round trip: breaker admission, retry
+        with decorrelated backoff, per-attempt socket timeouts clamped
+        to the per-request deadline.
 
-            def log_message(self, fmt: str, *args: Any) -> None:
-                pass
+        Transport-level retries (reset, timeout, truncated read) are
+        restricted to idempotent methods: an IncompleteRead after a
+        POST may mean the upstream already applied the create, and
+        replaying it would apply the write twice.  Non-idempotent
+        methods still retry on retryable 5xx *results* -- those imply
+        the request was not processed.
+        """
+        res = self.resilience
+        assert res is not None and self._guard is not None
+        deadline = res.deadline()
 
-            def log_request(self, code: Any = "-", size: Any = "-") -> None:
-                # Access "log": a labeled counter instead of stderr.
-                proxy.stats.count_http_request(getattr(self, "command", "?"), code)
+        def attempt() -> tuple[int, bytes]:
+            timeout = res.request_timeout
+            if deadline is not None:
+                timeout = max(0.05, deadline.clamp(timeout))
+            conn = self._upstream_connection(timeout)
+            try:
+                with span("proxy.forward"):
+                    conn.request(method, path, body=body, headers=headers)
+                    resp = conn.getresponse()
+                    data = resp.read()
+            except BaseException:
+                # Stale pooled socket, reset, timeout, truncated read:
+                # the connection state is unknown -- drop it.
+                self._drop_connection()
+                raise
+            return resp.status, data
 
-            def _reply(self, code: int, payload: dict | list,
-                       extra_headers: tuple[tuple[str, str], ...] = ()) -> None:
-                phases = proxy.stats.phases
-                started = time.perf_counter_ns() if phases.enabled else 0
-                body = json.dumps(payload).encode()
-                self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                for name, value in extra_headers:
-                    self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(body)
-                if started:
-                    phases.serialization(time.perf_counter_ns() - started)
-
-            def _serve_obs(self, head: bool = False) -> bool:
-                served = obs_endpoint(
-                    self.path,
-                    proxy.stats.registry,
-                    component="kubefence-proxy",
-                    ready_checks={"policy-bound": lambda: proxy.validator is not None},
-                    event_bus=proxy.events if proxy.events.enabled else None,
-                    slo=proxy.slo,
-                    refine=proxy.refine,
-                    scanner=proxy.scanner,
-                    profiler=PROFILER,
-                    timeseries=proxy.timeseries,
-                    accept=self.headers.get("Accept", ""),
-                )
-                if served is None:
-                    return False
-                status, content_type, body = served
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                if not head:
-                    self.wfile.write(body)
-                return True
-
-            def _publish_decision(self, outcome: str, code: int,
-                                  resource: str = "", name: str = "",
-                                  detail: dict[str, Any] | None = None) -> None:
-                """One verdict onto the proxy's security-event stream."""
-                bus = proxy.events
-                if not bus.enabled:
-                    return
-                phases = proxy.stats.phases
-                publish_started = (
-                    time.perf_counter_ns() if phases.enabled else 0
-                )
-                if outcome == "allow" and not bus.sampled():
-                    return  # routine allows are head-sampled
-                started = getattr(self, "_started_ns", 0)
-                sample = getattr(self, "_field_sample", None)
-                if sample is not None and outcome == "allow":
-                    fields, values = sample
-                    detail = dict(detail or {})
-                    detail["fields"] = fields
-                    detail["values"] = values
-                bus.publish(SecurityEvent(
-                    kind="decision",
-                    source="proxy",
-                    ts=time.time(),
-                    user=self.headers.get("X-Remote-User", ""),
-                    verb=(getattr(self, "command", "") or "").lower(),
-                    resource=resource,
-                    name=name,
-                    outcome=outcome,
-                    code=code,
-                    trace_id=current_trace_id() or "",
-                    latency_ns=(
-                        time.perf_counter_ns() - started if started else 0
-                    ),
-                    detail={"path": self.path, **(detail or {})},
-                ))
-                if publish_started:
-                    phases.telemetry(
-                        time.perf_counter_ns() - publish_started
-                    )
-
-            def _forward(self, method: str, body: bytes | None,
-                         resource: str = "", name: str = "") -> None:
-                phases = proxy.stats.phases
-                started = time.perf_counter_ns() if phases.enabled else 0
-                headers = {
-                    "Content-Type": "application/json",
-                    "X-Remote-User": self.headers.get("X-Remote-User", ""),
-                    "X-Remote-Groups": self.headers.get("X-Remote-Groups", ""),
-                    "X-Trace-Id": current_trace_id() or "",
-                }
-                if started:
-                    # The proxy's authn share: extracting and re-asserting
-                    # the caller identity headers the upstream trusts.
-                    sent = time.perf_counter_ns()
-                    phases.authn(sent - started)
-                try:
-                    status, data = proxy._upstream_call(
-                        method, self.path, body, headers
-                    )
-                    if started:
-                        phases.upstream(time.perf_counter_ns() - sent)
-                except CircuitOpenError as err:
-                    proxy.stats.count_upstream_error("breaker-open")
-                    self._degraded_reply(method, err, resource, name)
-                    return
-                except (UpstreamUnavailable, DeadlineExceeded) as err:
-                    self._degraded_reply(method, err, resource, name)
-                    return
-                try:
-                    payload = json.loads(data or b"{}")
-                except ValueError:
-                    proxy.stats.count_upstream_error("bad-payload")
-                    self._publish_decision("error", 502, resource, name,
-                                           detail={"reason": "bad-payload"})
-                    self._reply(
-                        502,
-                        {"kind": "Status", "status": "Failure", "code": 502,
-                         "reason": "BadGateway",
-                         "message": "upstream returned an unparseable body"},
-                    )
-                    return
-                if (method == "GET" and status == 200
-                        and proxy._read_cache is not None):
-                    proxy._read_cache.put(self._stale_key(), payload)
-                self._publish_decision(
-                    "allow" if 200 <= status < 300 else "error",
-                    status, resource, name,
-                )
-                self._reply(status, payload)
-
-            def _stale_key(self) -> str:
-                """Stale-cache key scoped to the authenticated identity.
-
-                The upstream authorizes per user (X-Remote-User /
-                X-Remote-Groups -> RBAC), so a cached 200 is only valid
-                for the identity that originally received it.  Keying
-                by path alone would serve one user's cached read to
-                another during an outage -- turning an upstream RBAC
-                denial into an allow.
-                """
-                return stale_read_key(
-                    self.headers.get("X-Remote-User", ""),
-                    self.headers.get("X-Remote-Groups", ""),
-                    self.path,
-                )
-
-            def _degraded_reply(self, method: str, err: Exception,
-                                resource: str = "", name: str = "") -> None:
-                """The upstream is down.  fail-static may serve reads
-                from the stale cache; everything else is refused with
-                503 -- a would-be denial is never converted into an
-                allow (denials already happened before forwarding, and
-                stale reads are only served to the same authenticated
-                identity that originally fetched them)."""
-                if method == "GET" and proxy._read_cache is not None:
-                    cached = proxy._read_cache.get(
-                        self._stale_key(), proxy.resilience.read_cache_ttl
-                    )
-                    if cached is not None:
-                        age, payload = cached
-                        proxy.stats.count_degraded("stale-read")
-                        self._publish_decision(
-                            "degraded", 200, resource, name,
-                            detail={"mode": "stale-read"},
-                        )
-                        self._reply(200, payload, extra_headers=(
-                            ("X-KubeFence-Degraded", f"stale-read; age={age:.1f}s"),
-                        ))
-                        return
-                proxy.stats.count_degraded("refused")
-                self._publish_decision(
-                    "degraded", 503, resource, name,
-                    detail={"mode": "refused"},
-                )
-                self._reply(
-                    503,
-                    {"kind": "Status", "status": "Failure", "code": 503,
-                     "reason": "ServiceUnavailable",
-                     "message": "KubeFence: upstream API server unavailable; "
-                                f"failing closed ({err})"},
-                )
-
-            def _handle(self, method: str) -> None:
-                incoming = self.headers.get("X-Trace-Id") or None
-                phases = proxy.stats.phases
-                if not phases.enabled:
-                    with trace("proxy.request", trace_id=incoming):
-                        self._handle_traced(method)
-                    return
-                # Wall-clock denominator for the phase breakdown: the
-                # phase shares below divide into this total.  Stamped
-                # inside the trace bracket so tracer bookkeeping (span
-                # record under the buffer lock, which a concurrent
-                # /obs/traces reader can hold) stays out of the
-                # denominator instead of reading as unattributed time.
-                with trace("proxy.request", trace_id=incoming):
-                    wall_started = time.perf_counter_ns()
-                    self._handle_traced(method)
-                    phases.wall(time.perf_counter_ns() - wall_started)
-
-            def _handle_traced(self, method: str) -> None:
-                proxy.stats.count_request()
-                self._started_ns = (
-                    time.perf_counter_ns() if proxy.events.enabled else 0
-                )
-                self._field_sample = None
-                resource = name = ""
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else None
-                if method in ("POST", "PUT", "PATCH") and raw:
-                    phases = proxy.stats.phases
-                    parse_started = (
-                        time.perf_counter_ns() if phases.enabled else 0
-                    )
-                    try:
-                        manifest = json.loads(raw)
-                    except (ValueError, RecursionError):
-                        self._reply(
-                            400,
-                            {"kind": "Status", "status": "Failure", "code": 400,
-                             "reason": "BadRequest",
-                             "message": "request body is not valid JSON"},
-                        )
-                        return
-                    if not isinstance(manifest, dict):
-                        self._reply(
-                            400,
-                            {"kind": "Status", "status": "Failure", "code": 400,
-                             "reason": "BadRequest",
-                             "message": "request body must be a JSON object"},
-                        )
-                        return
-                    resource = manifest.get("kind", "")
-                    name = manifest.get("metadata", {}).get("name", "")
-                    if parse_started:
-                        phases.serialization(
-                            time.perf_counter_ns() - parse_started
-                        )
-                    with span("proxy.validate"):
-                        result = proxy.gate.check(manifest)
-                    shadow = proxy.shadow
-                    if shadow is not None:
-                        shadow.observe(
-                            manifest, result.allowed,
-                            user=self.headers.get("X-Remote-User", ""),
-                            verb=method.lower(),
-                        )
-                    if proxy.observe_fields and result.allowed:
-                        self._field_sample = manifest_field_sample(manifest)
-                    if not result.allowed:
-                        reason = denial_reason(result.violations)
-                        proxy.stats.count_denial(
-                            operator=proxy.validator.operator,
-                            kind=resource,
-                            reason=reason,
-                        )
-                        proxy.denials.append(
-                            DenialRecord(
-                                username=self.headers.get("X-Remote-User", ""),
-                                verb=method.lower(),
-                                kind=resource,
-                                name=name,
-                                violations=tuple(str(v) for v in result.violations),
-                            )
-                        )
-                        self._publish_decision(
-                            "deny", 403, resource, name,
-                            detail={
-                                "reason": reason,
-                                "violations": [
-                                    str(v) for v in result.violations
-                                ],
-                            },
-                        )
-                        self._reply(
-                            403,
-                            {
-                                "kind": "Status",
-                                "apiVersion": "v1",
-                                "status": "Failure",
-                                "reason": "Forbidden",
-                                "code": 403,
-                                "message": "KubeFence policy denied the request: "
-                                + result.summary(),
-                            },
-                        )
-                        return
-                self._forward(method, raw, resource, name)
-
-            def do_GET(self) -> None:
-                if self._serve_obs():
-                    return
-                self._handle("GET")
-
-            def do_HEAD(self) -> None:
-                # HEAD on the observability surfaces: full headers
-                # (correct Content-Length), no body.  API paths are
-                # proxied as GETs by clients; HEAD is obs-only here.
-                if self._serve_obs(head=True):
-                    return
-                self.send_response(405)
-                self.send_header("Allow", "GET, POST, PUT, PATCH, DELETE")
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-
-            def do_POST(self) -> None:
-                self._handle("POST")
-
-            def do_PUT(self) -> None:
-                self._handle("PUT")
-
-            def do_PATCH(self) -> None:
-                self._handle("PATCH")
-
-            def do_DELETE(self) -> None:
-                self._handle("DELETE")
-
-        self._httpd = new_http_server((host, port), Handler)
-        self._thread: Any = None
-        self._threading = threading
-
-    @property
-    def validator(self) -> Validator:
-        return self.gate.validator
-
-    def install_validator(self, validator: Validator) -> None:
-        """Bind a new policy; invalidates the decision cache."""
-        self.gate.install(validator)
+        return self._guard.call(
+            attempt,
+            deadline=deadline,
+            is_failure=lambda r: r[0] in RETRYABLE_STATUS_CODES,
+            retry_transport_errors=method in _IDEMPOTENT_METHODS,
+        )
 
     @property
     def base_url(self) -> str:
@@ -1350,7 +1165,7 @@ class HttpKubeFenceProxy:
         # stops with the last component that acquired it.
         PROFILER.acquire()
         self.timeseries.start()
-        self._thread = self._threading.Thread(
+        self._thread = threading.Thread(
             target=self._httpd.serve_forever, daemon=True
         )
         self._thread.start()
@@ -1376,25 +1191,26 @@ class HttpKubeFenceProxy:
         self.stop()
 
 
-class MultiPolicyProxy:
+class MultiPolicyProxy(_Front):
     """One proxy mediating several workloads (multi-tenant clusters).
 
     Each client identity is bound to its workload's validator; requests
     from identities with no bound policy are rejected outright
-    (default-deny, per the least-privilege principle).  This models the
-    paper's deployment at cluster scale: one mitmproxy instance, one
-    policy per operator.
+    (default-deny, per the least-privilege principle) through the same
+    deny path as a policy violation.  This models the paper's
+    deployment at cluster scale: one mitmproxy instance, one policy per
+    operator.
     """
 
     def __init__(self, api: APIServer, validators: dict[str, Validator],
                  read_through: bool = True,
                  resilience: ResilienceConfig | None = None,
                  event_bus: Any | None = None):
-        self.api = api
-        self.resilience = resilience
         #: one shared stream across all per-identity proxies, so the
         #: forensics layer sees the whole multi-tenant cluster.
-        self.events = event_bus if event_bus is not None else new_event_bus()
+        super().__init__(event_bus)
+        self.api = api
+        self.resilience = resilience
         self._proxies = {
             username: KubeFenceProxy(
                 api, validator, resilience=resilience, event_bus=self.events
@@ -1402,7 +1218,6 @@ class MultiPolicyProxy:
             for username, validator in validators.items()
         }
         self.read_through = read_through
-        self.unbound_denials: list[DenialRecord] = []
 
     def bind(self, username: str, validator: Validator) -> None:
         """Attach a (new) workload policy to an identity."""
@@ -1419,16 +1234,22 @@ class MultiPolicyProxy:
         return self._proxies.get(username)
 
     @property
-    def denials(self) -> list[DenialRecord]:
+    def unbound_denials(self) -> deque[DenialRecord]:
+        """Default-deny refusals of identities with no bound policy."""
+        return self._denial_log
+
+    @property
+    def denials(self) -> list[DenialRecord]:  # type: ignore[override]
         out = list(self.unbound_denials)
         for proxy in self._proxies.values():
             out.extend(proxy.denials)
         return out
 
     def stats_totals(self) -> ProxyStats:
-        """Aggregate per-identity proxy stats into one façade (the
-        cluster-wide scrape view)."""
+        """Aggregate per-identity proxy stats (and the default-deny
+        counters) into one façade (the cluster-wide scrape view)."""
         totals = ProxyStats()
+        totals.merge(self.stats)
         for proxy in self._proxies.values():
             totals.merge(proxy.stats)
         return totals
@@ -1439,21 +1260,9 @@ class MultiPolicyProxy:
             return proxy.submit(request)
         if self.read_through and request.verb in ("get", "list", "watch"):
             return self.api.handle(request)
-        name = ""
-        if request.body:
-            name = request.body.get("metadata", {}).get("name", "")
-        self.unbound_denials.append(
-            DenialRecord(
-                username=request.user.username,
-                verb=request.verb,
-                kind=request.kind,
-                name=name or (request.name or ""),
-                violations=("no policy bound to this identity",),
-            )
-        )
-        return ApiResponse.from_error(
-            ApiError.forbidden(
-                f"KubeFence: no workload policy bound to identity "
-                f"{request.user.username!r} (default deny)"
-            )
+        return self.deny(
+            request, ("no policy bound to this identity",),
+            f"no workload policy bound to identity "
+            f"{request.user.username!r} (default deny)",
+            operator="",
         )

@@ -92,6 +92,10 @@ class ApiResponse:
     code: int
     body: dict[str, Any] | list[dict[str, Any]] | None = None
     error: ApiError | None = None
+    #: Set when a KubeFence proxy answered without its upstream:
+    #: ``"refused"`` (fail-closed 503) or ``"stale-read; age=<s>s"``
+    #: (fail-static); the HTTP proxy sends it as X-KubeFence-Degraded.
+    degraded: str = field(default="", init=False)
 
     @property
     def ok(self) -> bool:

@@ -88,6 +88,14 @@ def parse_rest_path(path: str, reg: ResourceRegistry) -> tuple[str, str | None, 
 _METHOD_VERBS = {"POST": "create", "PUT": "update", "PATCH": "patch", "DELETE": "delete"}
 
 
+def rest_verb(method: str, name: str | None) -> str:
+    """The API verb an HTTP method maps to (a GET is a ``get`` when it
+    names an object, a ``list`` otherwise)."""
+    if method == "GET":
+        return "get" if name else "list"
+    return _METHOD_VERBS[method]
+
+
 class _QuietErrorsMixin:
     """Swallow connection-level failures instead of spraying
     tracebacks.
@@ -247,12 +255,77 @@ def new_http_server(
     return WorkerPoolHTTPServer(address, handler, workers=workers, queue_size=queue_size)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "MiniKubeApiServer/1.0"
+class RestHandler(BaseHTTPRequestHandler):
+    """The plumbing both HTTP frontends (this API server and the
+    KubeFence proxy) share: HTTP/1.1 keep-alive, the observability
+    surfaces served before REST routing, and the method dispatch.
+    Subclasses provide :meth:`_obs` and :meth:`_handle`."""
+
     #: HTTP/1.1 so pooled clients (notably the KubeFence proxy's
     #: keep-alive upstream connections) can reuse the TCP socket; every
     #: response path sends an explicit Content-Length.
     protocol_version = "HTTP/1.1"
+
+    # Silence the default stderr request logging; access logs are not
+    # discarded, though -- each frontend's log_request() routes them
+    # into its metrics registry as http_requests_total{method,code}.
+    def log_message(self, fmt: str, *args: Any) -> None:  # noqa: D102
+        pass
+
+    def _obs(self) -> tuple[int, str, bytes] | None:
+        """This frontend's :func:`repro.obs.obs_endpoint` answer for
+        ``self.path`` (None: not an observability path)."""
+        raise NotImplementedError
+
+    def _handle(self, method: str) -> None:
+        raise NotImplementedError
+
+    def _serve_obs(self, head: bool = False) -> bool:
+        """Observability surfaces: /metrics, /healthz, /readyz,
+        /obs/traces and friends (served before REST routing)."""
+        served = self._obs()
+        if served is None:
+            return False
+        status, content_type, body = served
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if not head:
+            self.wfile.write(body)
+        return True
+
+    def do_GET(self) -> None:
+        if self._serve_obs():
+            return
+        self._handle("GET")
+
+    def do_HEAD(self) -> None:
+        # HEAD on the observability surfaces: full headers (correct
+        # Content-Length), no body.  REST paths answer 405 -- the mini
+        # API has no HEAD semantics.
+        if self._serve_obs(head=True):
+            return
+        self.send_response(405)
+        self.send_header("Allow", "GET, POST, PUT, PATCH, DELETE")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_POST(self) -> None:
+        self._handle("POST")
+
+    def do_PUT(self) -> None:
+        self._handle("PUT")
+
+    def do_PATCH(self) -> None:
+        self._handle("PATCH")
+
+    def do_DELETE(self) -> None:
+        self._handle("DELETE")
+
+
+class _Handler(RestHandler):
+    server_version = "MiniKubeApiServer/1.0"
     api: APIServer  # injected by serve()
     #: Optional :class:`repro.obs.analytics.slo.SloEngine` served at
     #: ``/obs/slo``; injected by :class:`HttpApiServer` when wired.
@@ -270,12 +343,6 @@ class _Handler(BaseHTTPRequestHandler):
     #: Optional :class:`repro.obs.TimeSeriesRing` served at
     #: ``/obs/timeseries``; injected by :class:`HttpApiServer`.
     timeseries: Any = None
-
-    # Silence the default stderr request logging; access logs are not
-    # discarded, though -- log_request() routes them into the metrics
-    # registry as http_requests_total{method,code}.
-    def log_message(self, fmt: str, *args: Any) -> None:  # noqa: D102
-        pass
 
     def log_request(self, code: Any = "-", size: Any = "-") -> None:
         self.api.count_http_request(getattr(self, "command", "?") or "?", code)
@@ -299,11 +366,9 @@ class _Handler(BaseHTTPRequestHandler):
         if started:
             phases.serialization(time.perf_counter_ns() - started)
 
-    def _serve_obs(self, head: bool = False) -> bool:
-        """Observability surfaces: /metrics, /healthz, /readyz,
-        /obs/traces (served before REST routing)."""
+    def _obs(self) -> tuple[int, str, bytes] | None:
         bus = getattr(self.api, "event_bus", None)
-        served = obs_endpoint(
+        return obs_endpoint(
             self.path,
             self.api.metrics,
             component="mini-apiserver",
@@ -316,16 +381,6 @@ class _Handler(BaseHTTPRequestHandler):
             timeseries=self.timeseries,
             accept=self.headers.get("Accept", ""),
         )
-        if served is None:
-            return False
-        status, content_type, body = served
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if not head:
-            self.wfile.write(body)
-        return True
 
     def _handle(self, method: str) -> None:
         # Wall-clock denominator for the phase breakdown
@@ -397,10 +452,7 @@ class _Handler(BaseHTTPRequestHandler):
                 mark = time.perf_counter_ns()
                 phases.serialization(mark - parse_started)
 
-        if method == "GET":
-            verb = "get" if name else "list"
-        else:
-            verb = _METHOD_VERBS[method]
+        verb = rest_verb(method, name)
         request = ApiRequest(
             verb=verb,
             kind=kind,
@@ -435,34 +487,6 @@ class _Handler(BaseHTTPRequestHandler):
         # this write as acknowledged.  No-op outside the chaos child.
         if response.ok and verb in ("create", "update", "patch", "delete"):
             crashpoint("post-ack")
-
-    def do_GET(self) -> None:
-        if self._serve_obs():
-            return
-        self._handle("GET")
-
-    def do_HEAD(self) -> None:
-        # HEAD on the observability surfaces: full headers (correct
-        # Content-Length), no body.  REST paths answer 405 -- the mini
-        # API has no HEAD semantics.
-        if self._serve_obs(head=True):
-            return
-        self.send_response(405)
-        self.send_header("Allow", "GET, POST, PUT, PATCH, DELETE")
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-    def do_PUT(self) -> None:
-        self._handle("PUT")
-
-    def do_PATCH(self) -> None:
-        self._handle("PATCH")
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
 
 
 class HttpApiServer:

@@ -292,3 +292,97 @@ class TestFailStaticDegradation:
         injector.plan = FaultPlan(name="dark", error_rate=1.0)
         proxy.submit(ApiRequest.from_manifest(manifest, operator, "update"))
         assert proxy.submit(read).code == 503  # no stale cache in fail-closed
+
+
+class TestBoundedDenialLog:
+    """Denial logs keep the newest DENIAL_LOG_SIZE records and count
+    what they drop, on single- and multi-policy fronts alike."""
+
+    def test_oldest_denials_dropped_and_counted(self):
+        from repro.core.proxy import DENIAL_LOG_SIZE
+
+        chart, cluster, proxy = _setup()
+        bad = deep_copy(next(m for m in render_chart(chart) if m["kind"] == "Service"))
+        set_path(bad, "spec.externalIPs", ["203.0.113.9"])
+        for i in range(DENIAL_LOG_SIZE + 5):
+            bad["metadata"]["name"] = f"svc-{i}"
+            assert proxy.submit(ApiRequest.from_manifest(bad, User("eve"))).code == 403
+        assert len(proxy.denials) == DENIAL_LOG_SIZE
+        assert proxy.denials[0].name == "svc-5"
+        assert proxy.denials[-1].name == f"svc-{DENIAL_LOG_SIZE + 4}"
+        assert proxy.stats.denials_dropped == 5
+        assert proxy.stats.requests_denied == DENIAL_LOG_SIZE + 5
+
+    def test_unbound_identity_denials_share_the_bound(self):
+        from repro.core.proxy import DENIAL_LOG_SIZE, MultiPolicyProxy
+
+        chart = get_chart("nginx")
+        multi = MultiPolicyProxy(Cluster().api, {"nginx-operator": generate_policy(chart)})
+        service = next(m for m in render_chart(chart) if m["kind"] == "Service")
+        for _ in range(DENIAL_LOG_SIZE + 3):
+            response = multi.submit(ApiRequest.from_manifest(service, User("mallory")))
+            assert response.code == 403
+        assert "KubeFence policy denied create of Service/" in response.body["message"]
+        assert response.body["details"]["violations"] == ["no policy bound to this identity"]
+        assert len(multi.unbound_denials) == DENIAL_LOG_SIZE
+        totals = multi.stats_totals()
+        assert totals.denials_dropped == 3
+        assert totals.requests_denied == DENIAL_LOG_SIZE + 3
+
+
+class TestDenialStatus:
+    def test_403_names_the_workload_and_carries_violations(self):
+        chart, cluster, proxy = _setup()
+        bad = deep_copy(next(m for m in render_chart(chart) if m["kind"] == "Deployment"))
+        set_path(bad, "spec.template.spec.hostNetwork", True)
+        body = proxy.submit(ApiRequest.from_manifest(bad, User("eve"), "update")).body
+        assert body["reason"] == "Forbidden"
+        assert body["message"].startswith(
+            f"KubeFence policy denied update of Deployment/{bad['metadata']['name']} "
+            "for workload 'nginx': denied: "
+        )
+        assert any("hostNetwork" in v for v in body["details"]["violations"])
+
+    def test_non_object_write_body_is_refused_with_400(self):
+        chart, cluster, proxy = _setup()
+        response = proxy.submit(
+            ApiRequest("create", "Deployment", User("eve"), body=[1, 2, 3])  # type: ignore[arg-type]
+        )
+        assert response.code == 400
+        assert proxy.stats.requests_validated == 0
+
+
+class TestDenialLogConcurrency:
+    def test_concurrent_denials_are_all_retained_or_counted(self):
+        """HTTP worker threads deny concurrently: every denial is either
+        in the log or counted as dropped, none lost at the bound."""
+        import sys
+        import threading
+
+        from repro.core.proxy import DENIAL_LOG_SIZE
+
+        chart, cluster, proxy = _setup()
+        bad = deep_copy(next(m for m in render_chart(chart) if m["kind"] == "Service"))
+        set_path(bad, "spec.externalIPs", ["203.0.113.9"])
+        request = ApiRequest.from_manifest(bad, User("eve"))
+        threads_n, per_thread = 8, 160
+
+        def deny_many() -> None:
+            for _ in range(per_thread):
+                proxy.submit(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=deny_many) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = threads_n * per_thread
+        assert len(proxy.denials) == DENIAL_LOG_SIZE
+        assert proxy.stats.requests_denied == total
+        assert proxy.stats.denials_dropped == total - DENIAL_LOG_SIZE
